@@ -5,10 +5,10 @@
 //! * for a **fixed dispatch level**, every kernel — and therefore the
 //!   whole pipeline — is bitwise identical across runs and across
 //!   `PEB_THREADS`;
-//! * the **bit-exact kernel class** (ADI line solves, explicit stencil,
-//!   elementwise arithmetic, optimiser updates) reproduces the scalar
-//!   level on the AVX2+FMA level to the bit, so the physics solver does
-//!   not depend on `PEB_SIMD` at all. Tolerance-class kernels (GEMM,
+//! * the **bit-exact kernel class** (ADI line solves, the PEB reaction
+//!   half-step, explicit stencil, elementwise arithmetic, optimiser
+//!   updates) reproduces the scalar level on the AVX2+FMA level to the
+//!   bit, so the physics solver does not depend on `PEB_SIMD` at all. Tolerance-class kernels (GEMM,
 //!   scan, `exp`) may differ across levels by bounded amounts.
 //!
 //! These tests flip the process-global dispatch level with
@@ -146,6 +146,52 @@ fn peb_solver_is_bitwise_identical_across_dispatch_levels() {
 }
 
 #[test]
+fn peb_solver_ragged_grids_are_bitwise_identical_across_levels_tiles_and_threads() {
+    // nx and ny below 8: every x line, and every y and z line group, goes
+    // through the staged path with zero-padded lanes; the 2×2 plane also
+    // leaves a ragged reaction tail and stages the Robin-bumped z lines.
+    // A forced tile of three planes slabs the x/y sweeps into ragged
+    // line counts. Depths are chosen so the sweeps cross the parallel
+    // cutoff untiled, so 4 threads really split the chunks.
+    let _guard = lock_level();
+    let prev = peb_pool::tile::tile_target_bytes();
+    let params = PebParams {
+        duration: 0.5,
+        ..PebParams::paper()
+    };
+    for (nx, ny, nz) in [(4usize, 2usize, 1001usize), (2, 2, 2049)] {
+        let grid = Grid::new(nx, ny, nz, 4.0, 4.0, 0.1).unwrap();
+        let mut rng = StdRng::seed_from_u64(2015);
+        let acid0 = Tensor::rand_uniform(&grid.shape3(), 0.0, 1.0, &mut rng);
+        let solver = PebSolver::new(params, grid, TimeScheme::ImplicitLod).unwrap();
+        let mut runs = Vec::new();
+        for level in levels() {
+            peb_simd::set_level(level);
+            for tile in [None, Some(3 * nx * ny * 4)] {
+                peb_pool::tile::set_tile_bytes(tile);
+                for threads in [1, 4] {
+                    let out = peb_par::with_thread_count(threads, || solver.run(&acid0).unwrap());
+                    let label = format!("{}, tile {tile:?}, {threads} threads", level.name());
+                    runs.push((label, out));
+                }
+            }
+        }
+        peb_pool::tile::set_tile_bytes(prev);
+        let (base_label, base) = &runs[0];
+        for (label, other) in &runs[1..] {
+            let what = format!("{nx}x{ny}x{nz}: {base_label} vs {label}");
+            assert_bits_eq(&base.acid, &other.acid, &format!("{what} acid"));
+            assert_bits_eq(&base.base, &other.base, &format!("{what} base"));
+            assert_bits_eq(
+                &base.inhibitor,
+                &other.inhibitor,
+                &format!("{what} inhibitor"),
+            );
+        }
+    }
+}
+
+#[test]
 fn optimizer_trajectory_is_bitwise_identical_across_dispatch_levels() {
     use peb_nn::{Adam, Optimizer, Sgd};
     let _guard = lock_level();
@@ -245,10 +291,25 @@ fn simd_dispatch_counter_ticks_on_the_vector_path() {
     let _ = a.matmul(&b).unwrap();
     let _ = a.add_t(&b).unwrap();
     let after = peb_obs::counter_value(peb_obs::Counter::SimdDispatch);
+    // A PEB solve must tick too: the reaction half-step and the ADI
+    // sweeps (in-place and staged line groups) all take the vector path.
+    let grid = Grid::new(4, 8, 6, 4.0, 4.0, 10.0).unwrap();
+    let params = PebParams {
+        duration: 0.2,
+        ..PebParams::paper()
+    };
+    let acid0 = Tensor::rand_uniform(&grid.shape3(), 0.0, 1.0, &mut rng);
+    let solver = PebSolver::new(params, grid, TimeScheme::ImplicitLod).unwrap();
+    let _ = solver.run(&acid0).unwrap();
+    let after_peb = peb_obs::counter_value(peb_obs::Counter::SimdDispatch);
     peb_obs::set_mode(peb_obs::TraceMode::Off);
     assert!(
         after > before,
         "simd_dispatch did not advance ({before} -> {after})"
+    );
+    assert!(
+        after_peb > after,
+        "a PEB solve did not tick simd_dispatch ({after} -> {after_peb})"
     );
 }
 

@@ -222,11 +222,13 @@ impl PebSolver {
         let _span = peb_obs::span("litho.peb_run");
         let steps = (self.params.duration / self.params.dt).round().max(1.0) as usize;
         let dt = self.params.duration / steps as f32;
+        let acid_diffusion = self.diffusion(self.params.diffusivity_a(), true, dt);
+        let base_diffusion = self.diffusion(self.params.diffusivity_b(), false, dt);
         for _ in 0..steps {
             let _step_span = peb_obs::span("litho.peb_step");
             self.reaction_half_step(&mut state, dt * 0.5);
-            self.diffuse(&mut state.acid, self.params.diffusivity_a(), true, dt);
-            self.diffuse(&mut state.base, self.params.diffusivity_b(), false, dt);
+            diffuse(&mut state.acid, &self.grid, &acid_diffusion);
+            diffuse(&mut state.base, &self.grid, &base_diffusion);
             self.reaction_half_step(&mut state, dt * 0.5);
         }
         Ok(state)
@@ -239,38 +241,43 @@ impl PebSolver {
     /// `I ← I · exp(−kc · Ā · δt)` with `Ā` the trapezoidal mean of the
     /// acid over the sub-step.
     ///
-    /// Every cell is independent (pointwise ODEs, libm `exp` on every
-    /// path), so the element range fans out over the `peb-par` pool with
-    /// bitwise-identical results at any thread count.
+    /// The cells run eight at a time through the bit-exact
+    /// `peb_simd::reaction` kernel (scalar expression order, no FMA,
+    /// libm `exp` per lane), so the step is bitwise identical at every
+    /// dispatch level. Every cell is independent, so the element range
+    /// fans out over the `peb-par` pool with bitwise-identical results at
+    /// any thread count.
     fn reaction_half_step(&self, state: &mut PebState, dt: f32) {
         let _span = peb_obs::span("litho.reaction_half");
-        let kr = self.params.kr;
-        let kc = self.params.kc;
+        let p = peb_simd::reaction::ReactionParams {
+            kr: self.params.kr,
+            kc: self.params.kc,
+            dt,
+        };
         let n = state.acid.len();
         let acid = peb_par::UnsafeSlice::new(state.acid.data_mut());
         let base = peb_par::UnsafeSlice::new(state.base.data_mut());
         let inhibitor = peb_par::UnsafeSlice::new(state.inhibitor.data_mut());
-        peb_par::parallel_chunks_cost(n, n.div_ceil(64), 40, |range| {
-            for idx in range {
-                // SAFETY: chunk ranges are disjoint and each index touches
-                // only its own element of the three fields.
-                let a = unsafe { acid.get_mut(idx) };
-                let b = unsafe { base.get_mut(idx) };
-                let i = unsafe { inhibitor.get_mut(idx) };
-                let a0 = *a;
-                let (a1, b1) = rk4_neutralise(a0, *b, kr, dt);
-                *a = a1.max(0.0);
-                *b = b1.max(0.0);
-                let mean_a = 0.5 * (a0 + *a);
-                *i *= (-kc * mean_a * dt).exp();
-            }
+        let chunk = n.div_ceil(64).next_multiple_of(8);
+        peb_par::parallel_chunks_cost(n, chunk, 40, |range| {
+            // SAFETY: chunk ranges are disjoint and each chunk touches
+            // only its own elements of the three fields.
+            let (a, b, i) = unsafe {
+                (
+                    acid.slice_mut(range.clone()),
+                    base.slice_mut(range.clone()),
+                    inhibitor.slice_mut(range),
+                )
+            };
+            peb_simd::reaction::half_step(a, b, i, p);
         });
     }
 
-    /// One diffusion step for a species with `(lateral, normal)`
-    /// diffusivities. `robin_top` enables the Eq. 4 surface condition at
-    /// depth index 0 (acid only; the base has `h = 0` ⇒ Neumann).
-    fn diffuse(&self, field: &mut Tensor, (d_lat, d_norm): (f32, f32), robin_top: bool, dt: f32) {
+    /// Prepares one species' diffusion step with `(lateral, normal)`
+    /// diffusivities for the whole run. `robin_top` enables the Eq. 4
+    /// surface condition at depth index 0 (acid only; the base has
+    /// `h = 0` ⇒ Neumann).
+    fn diffusion(&self, (d_lat, d_norm): (f32, f32), robin_top: bool, dt: f32) -> Diffusion {
         let top_bc = if robin_top {
             EndBc::Robin {
                 h: self.params.h_a,
@@ -284,69 +291,84 @@ impl PebSolver {
         } else {
             EndBc::Neumann
         };
+        let g = &self.grid;
         match self.scheme {
-            TimeScheme::ImplicitLod => {
-                let (nz, ny, nx) = (self.grid.nz, self.grid.ny, self.grid.nx);
-                let plane = ny * nx;
-                let rx = d_lat * dt / (self.grid.dx * self.grid.dx);
-                let ry = d_lat * dt / (self.grid.dy * self.grid.dy);
-                let rz = d_norm * dt / (self.grid.dz * self.grid.dz);
-                let data = field.data_mut();
-                // Lie splitting: x, then y, then z implicit sweeps. The x
-                // and y sweeps only couple cells within one z-plane, so
-                // under `PEB_TILE` they stream cache-sized z-slabs: the y
-                // sweep re-reads each slab while it is still resident from
-                // the x sweep, instead of two full-volume passes. Per-line
-                // arithmetic is untouched — tiled output is bitwise
-                // identical to untiled.
-                match peb_pool::tile::slab_items(plane * std::mem::size_of::<f32>(), nz) {
-                    Some(sd) if sd < nz => {
-                        let mut z0 = 0;
-                        while z0 < nz {
-                            let zl = sd.min(nz - z0);
-                            let sub = &mut data[z0 * plane..(z0 + zl) * plane];
-                            let sub_shape = [zl, ny, nx];
-                            implicit_axis_on(
-                                sub,
-                                &sub_shape,
-                                2,
-                                rx,
-                                EndBc::Neumann,
-                                EndBc::Neumann,
-                            );
-                            implicit_axis_on(
-                                sub,
-                                &sub_shape,
-                                1,
-                                ry,
-                                EndBc::Neumann,
-                                EndBc::Neumann,
-                            );
-                            peb_obs::count(peb_obs::Counter::SlabPasses, 1);
-                            z0 += zl;
-                        }
-                    }
-                    _ => {
-                        let shape = [nz, ny, nx];
-                        implicit_axis_on(data, &shape, 2, rx, EndBc::Neumann, EndBc::Neumann);
-                        implicit_axis_on(data, &shape, 1, ry, EndBc::Neumann, EndBc::Neumann);
+            TimeScheme::ImplicitLod => Diffusion::Implicit(Box::new([
+                AxisSystem::new(g.nx, d_lat * dt / (g.dx * g.dx), EndBc::Neumann),
+                AxisSystem::new(g.ny, d_lat * dt / (g.dy * g.dy), EndBc::Neumann),
+                AxisSystem::new(
+                    g.nz,
+                    d_norm * dt / (g.dz * g.dz),
+                    top_bc_scaled(top_bc, dt, g.dz),
+                ),
+            ])),
+            TimeScheme::ExplicitEuler => Diffusion::Explicit {
+                d_lat,
+                d_norm,
+                top_bc,
+                dt,
+            },
+        }
+    }
+}
+
+/// One species' diffusion step, prepared once per [`PebSolver::run`].
+enum Diffusion {
+    /// Factored x, y and z systems of the implicit sweeps.
+    Implicit(Box<[AxisSystem; 3]>),
+    /// Inputs of the reference explicit step.
+    Explicit {
+        d_lat: f32,
+        d_norm: f32,
+        top_bc: EndBc,
+        dt: f32,
+    },
+}
+
+/// One diffusion step of `field`.
+fn diffuse(field: &mut Tensor, grid: &Grid, diffusion: &Diffusion) {
+    match diffusion {
+        Diffusion::Implicit(axes) => {
+            let [x, y, z] = &**axes;
+            let (nz, ny, nx) = (grid.nz, grid.ny, grid.nx);
+            let plane = ny * nx;
+            let data = field.data_mut();
+            // Lie splitting: x, then y, then z implicit sweeps. The x
+            // and y sweeps only couple cells within one z-plane, so
+            // under `PEB_TILE` they stream cache-sized z-slabs: the y
+            // sweep re-reads each slab while it is still resident from
+            // the x sweep, instead of two full-volume passes. Per-line
+            // arithmetic is untouched — tiled output is bitwise
+            // identical to untiled.
+            match peb_pool::tile::slab_items(plane * std::mem::size_of::<f32>(), nz) {
+                Some(sd) if sd < nz => {
+                    let mut z0 = 0;
+                    while z0 < nz {
+                        let zl = sd.min(nz - z0);
+                        let sub = &mut data[z0 * plane..(z0 + zl) * plane];
+                        let sub_shape = [zl, ny, nx];
+                        implicit_axis_on(sub, &sub_shape, 2, x);
+                        implicit_axis_on(sub, &sub_shape, 1, y);
+                        peb_obs::count(peb_obs::Counter::SlabPasses, 1);
+                        z0 += zl;
                     }
                 }
-                // The z sweep's lines span the full depth; its xy lines
-                // fan out over the pool in fixed blocks.
-                implicit_axis_on(
-                    data,
-                    &[nz, ny, nx],
-                    0,
-                    rz,
-                    top_bc_scaled(top_bc, dt, self.grid.dz),
-                    EndBc::Neumann,
-                );
+                _ => {
+                    let shape = [nz, ny, nx];
+                    implicit_axis_on(data, &shape, 2, x);
+                    implicit_axis_on(data, &shape, 1, y);
+                }
             }
-            TimeScheme::ExplicitEuler => {
-                explicit_step(field, &self.grid, d_lat, d_norm, top_bc, dt);
-            }
+            // The z sweep's lines span the full depth; its xy lines
+            // fan out over the pool in fixed blocks.
+            implicit_axis_on(data, &[nz, ny, nx], 0, z);
         }
+        &Diffusion::Explicit {
+            d_lat,
+            d_norm,
+            top_bc,
+            dt,
+        } => explicit_step(field, grid, d_lat, d_norm, top_bc, dt),
     }
 }
 
@@ -362,42 +384,66 @@ fn top_bc_scaled(bc: EndBc, dt: f32, dz: f32) -> EndBc {
     }
 }
 
-/// RK4 integration of the neutralisation pair over `dt`.
+/// Implicit backward-Euler system of one axis,
+/// `(I − r·L_axis) u_new = u_old` with `r = D·dt/h²` and `L_axis` the 1-D
+/// Laplacian, reflective at the last end and with condition `bc_first`
+/// at the first.
 ///
-/// `A − B` is conserved by the exact dynamics; RK4 preserves it to
-/// round-off because both derivatives are identical.
-fn rk4_neutralise(a: f32, b: f32, kr: f32, dt: f32) -> (f32, f32) {
-    let f = |a: f32, b: f32| -kr * a * b;
-    let k1 = f(a, b);
-    let k2 = f(a + 0.5 * dt * k1, b + 0.5 * dt * k1);
-    let k3 = f(a + 0.5 * dt * k2, b + 0.5 * dt * k2);
-    let k4 = f(a + dt * k3, b + dt * k3);
-    let delta = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
-    (a + delta, b + delta)
+/// The matrix depends only on `r` and the end conditions, so it is
+/// built and factored (`peb_simd::thomas`) once per
+/// [`PebSolver::run`]; every line, slab and step of the axis replays
+/// only the cheap per-line operations — bitwise identical to the in-line
+/// `solve_tridiagonal` elimination.
+struct AxisSystem {
+    r: f32,
+    lower: Vec<f32>,
+    beta: Vec<f32>,
+    gamma: Vec<f32>,
+    /// Robin source term added to the first right-hand side.
+    bump_first: f32,
 }
 
-/// Implicit backward-Euler sweep of one axis: solves
-/// `(I − r·L_axis) u_new = u_old` line by line, where `r = D·dt/h²` and
-/// `L_axis` is the 1-D Laplacian with the given end conditions.
+impl AxisSystem {
+    fn new(n: usize, r: f32, bc_first: EndBc) -> Self {
+        // The sub- and super-diagonals are both constant −r.
+        let lower = vec![-r; n];
+        let mut diag = vec![1.0 + 2.0 * r; n];
+        // Reflective end rows lose one neighbour.
+        diag[0] = 1.0 + r;
+        diag[n - 1] = 1.0 + r;
+        let mut bump_first = 0.0f32;
+        if let EndBc::Robin { h, sat } = bc_first {
+            // h here is the pre-scaled h·dt/dz.
+            diag[0] += h;
+            bump_first = h * sat;
+        }
+        let (mut beta, mut gamma) = (Vec::new(), Vec::new());
+        peb_simd::thomas::factor_tridiagonal(&lower, &diag, &lower, &mut beta, &mut gamma);
+        AxisSystem {
+            r,
+            lower,
+            beta,
+            gamma,
+            bump_first,
+        }
+    }
+}
+
+/// Implicit sweep of one axis: solves `sys` on every line of `axis`.
 ///
-/// Every line of the axis shares one constant-coefficient matrix, so the
-/// elimination is factored **once** (`peb_simd::thomas`) and each line
-/// replays only the cheap per-line operations — bitwise identical to the
-/// in-line `solve_tridiagonal` elimination. Groups of eight lines that
-/// are adjacent in the innermost dimension solve in place through the
-/// vectorized interleaved kernel (no gather/scatter); leftover lines — and
-/// all of axis 2, whose lines are not memory-adjacent — take the scalar
-/// factored path. The `outer·inner` lines fan out over the `peb-par`
-/// pool; each line reads and writes only its own strided positions, so
-/// the sweep stays bitwise identical at any thread count.
-fn implicit_axis_on(
-    data: &mut [f32],
-    shape: &[usize],
-    axis: usize,
-    r: f32,
-    bc_first: EndBc,
-    bc_last: EndBc,
-) {
+/// All lines run eight at a time through the vectorized interleaved
+/// kernel (`peb_simd::thomas`), whose lanes each replay the scalar
+/// per-line sequence. Eight lines adjacent in the innermost dimension
+/// solve in place; every other group — all of axis 2, whose lines are
+/// contiguous rows, and the ragged ends of the other axes — is staged
+/// interleaved in a per-worker `[n][8]` buffer, zero-padded when fewer
+/// than eight lines remain. The `outer·inner` lines fan out over the
+/// `peb-par` pool in chunks of whole 8-line groups whose size depends
+/// only on the line count; each line reads and writes only its own
+/// strided positions, so the sweep stays bitwise identical at any
+/// thread count and dispatch level.
+fn implicit_axis_on(data: &mut [f32], shape: &[usize], axis: usize, sys: &AxisSystem) {
+    let r = sys.r;
     if r == 0.0 {
         return;
     }
@@ -407,44 +453,20 @@ fn implicit_axis_on(
     if n == 1 {
         return;
     }
+    debug_assert_eq!(sys.beta.len(), n);
     let _span = peb_obs::span("litho.adi_axis");
     peb_obs::count(peb_obs::Counter::AdiLines, (outer * inner) as u64);
     peb_obs::optrace::note("adi.sweep", || {
         format!("axis={axis} n={n} lines={} r={r}", outer * inner)
     });
-    // Coefficient arrays are identical for every line of this axis;
-    // checked out of the thread-local pool (the solver rebuilds them for
-    // every axis of every step).
-    let mut lower = peb_pool::PoolBuf::<f32>::cleared(n);
-    lower.resize(n, -r);
-    let mut diag = peb_pool::PoolBuf::<f32>::cleared(n);
-    diag.resize(n, 1.0 + 2.0 * r);
-    // Reflective end rows lose one neighbour.
-    diag[0] = 1.0 + r;
-    diag[n - 1] = 1.0 + r;
-    let mut rhs_bump_first = 0.0f32;
-    if let EndBc::Robin { h, sat } = bc_first {
-        // h here is the pre-scaled h·dt/dz.
-        diag[0] += h;
-        rhs_bump_first = h * sat;
-    }
-    let mut rhs_bump_last = 0.0f32;
-    if let EndBc::Robin { h, sat } = bc_last {
-        diag[n - 1] += h;
-        rhs_bump_last = h * sat;
-    }
-    // Shared factorization: upper is constant −r, so build it inline.
-    let mut upper = peb_pool::PoolBuf::<f32>::cleared(n);
-    upper.resize(n, -r);
-    let mut beta = peb_pool::PoolBuf::<f32>::cleared(n);
-    let mut gamma = peb_pool::PoolBuf::<f32>::cleared(n);
-    peb_simd::thomas::factor_tridiagonal(&lower, &diag, &upper, &mut beta, &mut gamma);
     let lines = outer * inner;
     let slots = peb_par::UnsafeSlice::new(data);
-    let (lower, beta, gamma) = (&lower[..], &beta[..], &gamma[..]);
+    let (lower, beta, gamma) = (&sys.lower[..], &sys.beta[..], &sys.gamma[..]);
+    let bump_first = sys.bump_first;
     let line_cost = 10 * n as u64;
-    peb_par::parallel_chunks_cost(lines, lines.div_ceil(64), line_cost, |range| {
-        let mut line = peb_pool::PoolBuf::<f32>::zeroed(n);
+    let chunk = lines.div_ceil(64).next_multiple_of(8);
+    peb_par::parallel_chunks_cost(lines, chunk, line_cost, |range| {
+        let mut stage = peb_pool::PoolBuf::<f32>::zeroed(8 * n);
         let mut li = range.start;
         while li < range.end {
             let (o, i) = (li / inner, li % inner);
@@ -463,26 +485,36 @@ fn implicit_axis_on(
                         (o * n) * inner + i,
                         inner,
                         n,
-                        rhs_bump_first,
-                        rhs_bump_last,
+                        bump_first,
+                        0.0,
                     );
                 }
                 li += 8;
                 continue;
             }
-            for (k, lk) in line.iter_mut().enumerate() {
-                // SAFETY: line `li` owns exactly the strided positions
-                // `(o·n + k)·inner + i`; lines are disjoint.
-                *lk = unsafe { *slots.get_mut((o * n + k) * inner + i) };
+            let count = (range.end - li).min(8);
+            let mut starts = [0usize; 8];
+            for (j, s) in starts[..count].iter_mut().enumerate() {
+                let l = li + j;
+                *s = (l / inner * n) * inner + l % inner;
             }
-            line[0] += rhs_bump_first;
-            line[n - 1] += rhs_bump_last;
-            peb_simd::thomas::solve_factored(lower, beta, gamma, &mut line);
-            for (k, lk) in line.iter().enumerate() {
-                // SAFETY: as above.
-                unsafe { *slots.get_mut((o * n + k) * inner + i) = *lk };
+            // SAFETY: line `l` owns exactly the strided positions
+            // `(o·n + k)·inner + i`; lines are disjoint across workers.
+            unsafe {
+                peb_simd::thomas::solve_factored_staged8(
+                    lower,
+                    beta,
+                    gamma,
+                    &slots,
+                    &starts[..count],
+                    inner,
+                    n,
+                    bump_first,
+                    0.0,
+                    &mut stage,
+                );
             }
-            li += 1;
+            li += count;
         }
     });
 }
@@ -783,7 +815,7 @@ mod tests {
 
     #[test]
     fn rk4_conserves_difference() {
-        let (a, b) = rk4_neutralise(0.8, 0.4, 8.7, 0.05);
+        let (a, b) = peb_simd::reaction::rk4_neutralise(0.8, 0.4, 8.7, 0.05);
         assert!(((a - b) - 0.4).abs() < 1e-6);
         assert!(a < 0.8 && b < 0.4);
         assert!(a > 0.0 && b > 0.0);

@@ -145,18 +145,26 @@ impl EngineHandle {
             }
         }
         let (tx, rx) = mpsc::sync_channel(1);
+        // Count the job before it becomes visible to the engine thread:
+        // a pop that ran first would saturate at zero and the later push
+        // would leave the depth one too high forever.
+        self.stats.queue_push();
         match self.jobs.try_send(InferJob {
             clip,
             prec,
             deadline,
             reply: tx,
         }) {
-            Ok(()) => self.stats.queue_push(),
+            Ok(()) => {}
             Err(TrySendError::Full(_)) => {
+                self.stats.queue_pop();
                 self.stats.tick_shed();
                 return Err(ServeError::Overloaded);
             }
-            Err(TrySendError::Disconnected(_)) => return Err(ServeError::EngineGone),
+            Err(TrySendError::Disconnected(_)) => {
+                self.stats.queue_pop();
+                return Err(ServeError::EngineGone);
+            }
         }
         rx.recv().map_err(|_| ServeError::EngineGone)?
     }

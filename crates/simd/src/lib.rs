@@ -22,10 +22,12 @@
 //! differently:
 //!
 //! * **Bit-exact kernels** (tridiagonal line solves, the explicit
-//!   diffusion stencil, elementwise add/sub/mul/div, SGD/Adam updates)
-//!   use only IEEE-exact lane operations (`+ − × ÷ √`) in exactly the
-//!   per-element expression order of the scalar code, so the SIMD path
-//!   reproduces the scalar path **to the bit**.
+//!   diffusion stencil, the PEB reaction half-step, elementwise
+//!   add/sub/mul/div, SGD/Adam updates) use only IEEE-exact lane
+//!   operations (`+ − × ÷ √`, `max`) in exactly the per-element
+//!   expression order of the scalar code — plus libm `exp` applied per
+//!   lane where the scalar code calls it — so the SIMD path reproduces
+//!   the scalar path **to the bit**.
 //! * **Tolerance kernels** (GEMM, which fuses multiply–add, and the
 //!   selective-scan recurrence, which uses the polynomial [`Simd8::exp`]
 //!   instead of libm) differ from scalar by bounded ULPs; the property
@@ -42,6 +44,7 @@ pub mod fused;
 pub mod gemm;
 pub mod int8;
 pub mod optim;
+pub mod reaction;
 pub mod scan;
 pub mod stencil;
 pub mod thomas;
@@ -345,6 +348,12 @@ pub trait Simd8: Copy {
     fn exp(self) -> Self;
     /// Lanewise `if self >= 0 { if_nonneg } else { if_neg }`.
     fn select_nonneg(self, if_nonneg: Self, if_neg: Self) -> Self;
+    /// Lanewise `if self > rhs { self } else { rhs }` (x86 `maxps`
+    /// semantics): a NaN lane and a ±0 tie both yield `rhs`. For a
+    /// non-NaN constant `rhs` this is what optimised code compiles
+    /// `f32::max(x, rhs)` to, so `x.max(V::zero())` matches
+    /// `x.max(0.0)` bit for bit, `−0.0` and NaN lanes included.
+    fn max(self, rhs: Self) -> Self;
     /// Lanes as an array (lane order 0..8 = memory order).
     fn to_array(self) -> [f32; 8];
     /// Builds lanes from an array.
@@ -407,6 +416,16 @@ impl Simd8 for ScalarX8 {
                 if_nonneg.0[i]
             } else {
                 if_neg.0[i]
+            }
+        }))
+    }
+    #[inline(always)]
+    fn max(self, rhs: Self) -> Self {
+        ScalarX8(std::array::from_fn(|i| {
+            if self.0[i] > rhs.0[i] {
+                self.0[i]
+            } else {
+                rhs.0[i]
             }
         }))
     }
@@ -503,6 +522,12 @@ mod avx {
             // blendv picks the second operand where the mask sign bit is
             // set, i.e. where `self < 0`.
             AvxX8(unsafe { _mm256_blendv_ps(if_nonneg.0, if_neg.0, self.0) })
+        }
+        #[inline(always)]
+        fn max(self, rhs: Self) -> Self {
+            // `maxps` returns its second operand on NaN and on equal
+            // (including ±0) lanes — the scalar backend's rule.
+            AvxX8(unsafe { _mm256_max_ps(self.0, rhs.0) })
         }
         #[inline(always)]
         fn to_array(self) -> [f32; 8] {

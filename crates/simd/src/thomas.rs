@@ -14,6 +14,9 @@
 //! the group is eight contiguous floats). Each lane performs exactly the
 //! scalar operation sequence with IEEE-exact ops (`+ − × ÷`), so the
 //! SIMD path is **bitwise identical** to the scalar path.
+//! [`solve_factored_staged8`] feeds it any other group of up to eight
+//! lines — rows that are contiguous in memory, or the ragged ends of a
+//! sweep — by staging them interleaved in a `[n][8]` scratch buffer.
 
 use peb_par::UnsafeSlice;
 
@@ -170,6 +173,70 @@ pub unsafe fn solve_factored_lines8_simd(
         a, beta, gamma, slots, base, stride, n, bump_first, bump_last,
     );
     false
+}
+
+/// Solves up to eight arbitrary lines through [`solve_factored_lines8`]
+/// by staging them interleaved.
+///
+/// Element `k` of line `j` lives at `slots[starts[j] + k·stride]`; the
+/// lines are gathered into `stage[k·8 + j]` (`stage` holds at least
+/// `8·n` floats), solved in place, and scattered back. Lanes beyond
+/// `starts.len()` are zero-padded and discarded. Every lane runs the
+/// per-line sequence of [`solve_factored`] after the bumps, so a staged
+/// line is bitwise identical to a per-line solve.
+///
+/// # Safety
+///
+/// The caller must own every position `starts[j] + k·stride` (`k < n`)
+/// of `slots` exclusively, as for [`solve_factored_lines8`].
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn solve_factored_staged8(
+    a: &[f32],
+    beta: &[f32],
+    gamma: &[f32],
+    slots: &UnsafeSlice<f32>,
+    starts: &[usize],
+    stride: usize,
+    n: usize,
+    bump_first: f32,
+    bump_last: f32,
+    stage: &mut [f32],
+) {
+    let count = starts.len();
+    debug_assert!(count <= 8 && stage.len() >= 8 * n);
+    let stage = &mut stage[..8 * n];
+    for (j, &s) in starts.iter().enumerate() {
+        for (k, st) in stage.chunks_exact_mut(8).enumerate() {
+            // SAFETY: the caller owns the line's strided positions.
+            st[j] = unsafe { *slots.get_mut(s + k * stride) };
+        }
+    }
+    if count < 8 {
+        for st in stage.chunks_exact_mut(8) {
+            st[count..].fill(0.0);
+        }
+    }
+    // SAFETY: `stage` is exclusively borrowed and holds the whole
+    // `[n][8]` group.
+    unsafe {
+        solve_factored_lines8(
+            a,
+            beta,
+            gamma,
+            &UnsafeSlice::new(stage),
+            0,
+            8,
+            n,
+            bump_first,
+            bump_last,
+        )
+    };
+    for (j, &s) in starts.iter().enumerate() {
+        for (k, st) in stage.chunks_exact(8).enumerate() {
+            // SAFETY: as for the gather.
+            unsafe { *slots.get_mut(s + k * stride) = st[j] };
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]

@@ -3,8 +3,9 @@
 //! Two claims from the crate docs are exercised over randomized inputs:
 //!
 //! * **bit-exact kernels** (elementwise arithmetic, axpy, optimiser
-//!   updates, factored tridiagonal line solves) reproduce the scalar
-//!   backend *to the bit* on the SIMD backend;
+//!   updates, factored tridiagonal line solves, the PEB reaction
+//!   half-step) reproduce the scalar backend *to the bit* on the SIMD
+//!   backend;
 //! * **tolerance kernels** (GEMM, the scan recurrence, `exp`/`sigmoid`)
 //!   stay within a fixed ULP/absolute envelope of the scalar backend.
 //!
@@ -15,6 +16,7 @@
 //! degenerates to scalar-vs-scalar, which is vacuously bit-exact.
 
 use peb_par::UnsafeSlice;
+use peb_simd::reaction::{self, ReactionParams};
 use peb_simd::{elementwise as ew, gemm, optim, scan, thomas, ulp_diff};
 use proptest::prelude::*;
 use proptest::prop::collection::vec as pvec;
@@ -319,6 +321,167 @@ proptest! {
                     scalar[k * stride + j].to_bits(),
                     "line {} element {}", j, k
                 );
+            }
+        }
+    }
+}
+
+/// The pre-vectorisation solver loop, cell by cell: RK4 neutralisation,
+/// clamp at zero, exact inhibitor decay through libm `exp`.
+fn reaction_reference(
+    acid: &mut [f32],
+    base: &mut [f32],
+    inhibitor: &mut [f32],
+    p: ReactionParams,
+) {
+    for ((a, b), i) in acid
+        .iter_mut()
+        .zip(base.iter_mut())
+        .zip(inhibitor.iter_mut())
+    {
+        let a0 = *a;
+        let (a1, b1) = reaction::rk4_neutralise(a0, *b, p.kr, p.dt);
+        *a = a1.max(0.0);
+        *b = b1.max(0.0);
+        let mean_a = 0.5 * (a0 + *a);
+        *i *= (-p.kc * mean_a * p.dt).exp();
+    }
+}
+
+/// Runs the reaction kernel on both backends and checks each against
+/// [`reaction_reference`] bit for bit.
+fn check_reaction(
+    acid: &[f32],
+    base: &[f32],
+    inhibitor: &[f32],
+    p: ReactionParams,
+) -> Result<(), TestCaseError> {
+    let mut want = (acid.to_vec(), base.to_vec(), inhibitor.to_vec());
+    reaction_reference(&mut want.0, &mut want.1, &mut want.2, p);
+    for simd in [false, true] {
+        let (mut a, mut b, mut i) = (acid.to_vec(), base.to_vec(), inhibitor.to_vec());
+        if simd {
+            if !reaction::half_step_simd(&mut a, &mut b, &mut i, p) {
+                continue;
+            }
+        } else {
+            reaction::half_step_scalar(&mut a, &mut b, &mut i, p);
+        }
+        let backend = if simd { "simd" } else { "scalar" };
+        assert_bits(&want.0, &a, &format!("{backend} acid"))?;
+        assert_bits(&want.1, &b, &format!("{backend} base"))?;
+        assert_bits(&want.2, &i, &format!("{backend} inhibitor"))?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn reaction_half_step_matches_scalar_reference_bitwise(
+        len in 0usize..70,
+        kr in 0.1f32..50.0,
+        kc in 0.01f32..5.0,
+        dt in 0.001f32..0.5,
+        seed in 0u32..1000,
+    ) {
+        let p = ReactionParams { kr, kc, dt };
+        check_reaction(
+            &pseudo(len, seed, 0.0, 2.0),
+            &pseudo(len, seed + 1, 0.0, 2.0),
+            &pseudo(len, seed + 2, 0.0, 1.0),
+            p,
+        )?;
+    }
+}
+
+#[test]
+fn reaction_half_step_edge_lanes_match_scalar_reference_bitwise() {
+    // Signed zeros (the clamp's tie), NaN in each field (the clamp's NaN
+    // rule), subnormals, and both orders of magnitude between acid and
+    // base; the lengths cover empty, sub-vector, and ragged tails after
+    // whole blocks.
+    let lanes: [(f32, f32, f32); 12] = [
+        (0.0, 0.0, 1.0),
+        (-0.0, 0.3, 1.0),
+        (-0.0, -0.0, -0.0),
+        (0.4, -0.0, 0.9),
+        (f32::NAN, 0.2, 1.0),
+        (0.5, f32::NAN, 1.0),
+        (0.5, 0.2, f32::NAN),
+        (1e-40, 3e-39, 1.0),
+        (0.7, 1e-41, 1e-42),
+        (1e3, 1e-6, 1.0),
+        (1e-6, 1e3, 1.0),
+        (1.0, 1.0, 0.5),
+    ];
+    let p = ReactionParams {
+        kr: 8.7,
+        kc: 0.9,
+        dt: 0.05,
+    };
+    for len in [0usize, 1, 5, 7, 8, 12, 13, 63, 64, 65, 131] {
+        let pick = |f: fn(&(f32, f32, f32)) -> f32| -> Vec<f32> {
+            (0..len).map(|k| f(&lanes[(k * 5) % lanes.len()])).collect()
+        };
+        let (a, b, i) = (pick(|l| l.0), pick(|l| l.1), pick(|l| l.2));
+        if let Err(e) = check_reaction(&a, &b, &i, p) {
+            panic!("len {len}: {e}");
+        }
+    }
+}
+
+#[test]
+fn staged_lines_match_per_line_solves_bitwise() {
+    // The staged path of the ADI sweeps: contiguous rows (every x line)
+    // and strided columns (the ragged ends of the y and z sweeps), in
+    // groups of fewer than eight lines padded with zero lanes, with a
+    // Robin bump on both ends.
+    for n in [2usize, 3, 7, 33, 128] {
+        let r = 0.29f32;
+        let a = vec![-r; n];
+        let mut b = vec![1.0 + 2.0 * r; n];
+        b[0] = 1.0 + r + 0.4;
+        b[n - 1] = 1.0 + r + 0.1;
+        let (bump_first, bump_last) = (0.4 * 0.8, 0.1 * 0.3);
+        let (mut beta, mut gamma) = (Vec::new(), Vec::new());
+        thomas::factor_tridiagonal(&a, &b, &a, &mut beta, &mut gamma);
+        for count in [1usize, 3, 5, 7, 8] {
+            let rows: Vec<usize> = (0..count).map(|j| j * n).collect();
+            let columns: Vec<usize> = (0..count).map(|j| 2 * j + 1).collect();
+            for (layout, stride, starts) in [("rows", 1, rows), ("columns", 17, columns)] {
+                let len = starts[count - 1] + (n - 1) * stride + 1;
+                let field0 = pseudo(len, (n * 8 + count) as u32, -1.0, 1.0);
+                let mut want = field0.clone();
+                for &s in &starts {
+                    let mut line: Vec<f32> = (0..n).map(|k| field0[s + k * stride]).collect();
+                    line[0] += bump_first;
+                    line[n - 1] += bump_last;
+                    thomas::solve_factored(&a, &beta, &gamma, &mut line);
+                    for (k, v) in line.iter().enumerate() {
+                        want[s + k * stride] = *v;
+                    }
+                }
+                let mut got = field0.clone();
+                let mut stage = vec![f32::NAN; 8 * n];
+                {
+                    let slots = UnsafeSlice::new(&mut got);
+                    // SAFETY: single-threaded; the group owns its lines.
+                    unsafe {
+                        thomas::solve_factored_staged8(
+                            &a, &beta, &gamma, &slots, &starts, stride, n, bump_first, bump_last,
+                            &mut stage,
+                        )
+                    };
+                }
+                for (idx, (w, g)) in want.iter().zip(&got).enumerate() {
+                    assert_eq!(
+                        w.to_bits(),
+                        g.to_bits(),
+                        "n {n}, {count} {layout}: element {idx}: {w} vs {g}"
+                    );
+                }
             }
         }
     }
