@@ -52,6 +52,15 @@ fn bench_eikonal(c: &mut Criterion) {
             std::hint::black_box(solve_eikonal_fim(&grid, &rate, EikonalConfig::default()).unwrap())
         })
     });
+    // The sweeper skips updates whose stencil did not change, so its cost
+    // depends on the field: also time the Mack rate of a baked clip.
+    let clip = MaskConfig::demo(grid.nx).generate(1).unwrap();
+    let mut flow = LithoFlow::new(grid);
+    flow.peb.duration = 5.0;
+    let mack_rate = flow.run(&clip).unwrap().rate;
+    group.bench_function("fast_sweeping_mack_32x32x8", |b| {
+        b.iter(|| std::hint::black_box(solve_eikonal(&grid, &mack_rate, flow.eikonal).unwrap()))
+    });
     group.finish();
 }
 

@@ -35,89 +35,59 @@ impl Default for EikonalConfig {
 /// `S = (dz/2) / R` for the top layer (time for the front to reach the
 /// first voxel centre), infinity elsewhere.
 ///
+/// The sweeps are change-driven: a cell keeps a dirty flag that is set
+/// when one of its six neighbours drops, and an update whose stencil has
+/// not changed since the cell's last update is skipped. The Godunov
+/// update is a pure function of the stencil and the cell's own slowness,
+/// so a skipped update would have recomputed the same value and changed
+/// nothing; the result is bitwise identical to visiting every cell.
+///
 /// # Errors
 ///
 /// Returns [`LithoError::Config`] if `rate` does not match the grid or
-/// contains non-positive entries.
+/// contains non-positive or non-finite entries.
 pub fn solve_eikonal(grid: &Grid, rate: &Tensor, cfg: EikonalConfig) -> Result<Tensor> {
-    if rate.shape() != grid.shape3() {
-        return Err(LithoError::Config {
-            detail: format!(
-                "rate shape {:?} does not match grid {:?}",
-                rate.shape(),
-                grid.shape3()
-            ),
-        });
-    }
-    if rate.min_value() <= 0.0 {
-        return Err(LithoError::Config {
-            detail: "development rate must be strictly positive".into(),
-        });
-    }
+    check_rate(grid, rate)?;
     let (nz, ny, nx) = (grid.nz, grid.ny, grid.nx);
-    let (hx, hy, hz) = (grid.dx, grid.dy, grid.dz);
+    let plane = ny * nx;
+    let rd = rate.data();
     let mut s = Tensor::full(&grid.shape3(), f32::INFINITY);
-    {
-        let sd = s.data_mut();
-        let rd = rate.data();
-        for y in 0..ny {
-            for x in 0..nx {
-                let idx = y * nx + x;
-                sd[idx] = 0.5 * hz / rd[idx];
-            }
-        }
+    let sd = s.data_mut();
+    for (dst, &r) in sd[..plane].iter_mut().zip(rd) {
+        *dst = 0.5 * grid.dz / r;
     }
-    let rd = rate.data().to_vec();
-    let at = |z: usize, y: usize, x: usize| (z * ny + y) * nx + x;
+    // dirty[i]: a neighbour of cell i dropped since its last update (all
+    // set at the start: no cell has been updated yet).
+    let mut dirty = vec![true; sd.len()];
     let _span = peb_obs::span("litho.eikonal");
     let mut rounds = 0usize;
+    let mut updates = 0u64;
     loop {
         let mut max_change = 0f32;
         // The 8 sweep orderings of (z, y, x).
         peb_obs::count(peb_obs::Counter::EikonalSweeps, 8);
         for dir in 0..8u8 {
-            let zs: Box<dyn Iterator<Item = usize>> = if dir & 1 == 0 {
-                Box::new(0..nz)
-            } else {
-                Box::new((0..nz).rev())
-            };
-            for z in zs {
-                let ys: Box<dyn Iterator<Item = usize>> = if dir & 2 == 0 {
-                    Box::new(0..ny)
-                } else {
-                    Box::new((0..ny).rev())
-                };
-                for y in ys {
-                    let xs: Box<dyn Iterator<Item = usize>> = if dir & 4 == 0 {
-                        Box::new(0..nx)
-                    } else {
-                        Box::new((0..nx).rev())
-                    };
-                    for x in xs {
-                        let sd = s.data();
-                        let ax = neighbour_min(sd, x, nx, |i| at(z, y, i));
-                        let ay = neighbour_min(sd, y, ny, |j| at(z, j, x));
-                        // z: only the voxel above feeds the front downward
-                        // at z=0 (the surface is the source); both
-                        // neighbours elsewhere.
-                        let az = if z == 0 {
-                            if nz > 1 {
-                                sd[at(1, y, x)]
-                            } else {
-                                f32::INFINITY
-                            }
-                        } else if z + 1 == nz {
-                            sd[at(z - 1, y, x)]
-                        } else {
-                            sd[at(z - 1, y, x)].min(sd[at(z + 1, y, x)])
-                        };
-                        let slowness = 1.0 / rd[at(z, y, x)];
-                        let u = godunov_update(&[(ax, hx), (ay, hy), (az, hz)], slowness);
-                        let idx = at(z, y, x);
-                        let cur = s.data()[idx];
+            for zi in 0..nz {
+                let z = if dir & 1 == 0 { zi } else { nz - 1 - zi };
+                for yi in 0..ny {
+                    let y = if dir & 2 == 0 { yi } else { ny - 1 - yi };
+                    let row = (z * ny + y) * nx;
+                    for xi in 0..nx {
+                        let x = if dir & 4 == 0 { xi } else { nx - 1 - xi };
+                        let idx = row + x;
+                        if !dirty[idx] {
+                            continue;
+                        }
+                        dirty[idx] = false;
+                        updates += 1;
+                        let u = godunov_update(stencil(sd, grid, idx, z, y, x), 1.0 / rd[idx]);
+                        let cur = sd[idx];
                         if u < cur {
                             max_change = max_change.max(cur - u);
-                            s.data_mut()[idx] = u;
+                            sd[idx] = u;
+                            mark_neighbours(&mut dirty, idx, 1, x, nx);
+                            mark_neighbours(&mut dirty, idx, nx, y, ny);
+                            mark_neighbours(&mut dirty, idx, plane, z, nz);
                         }
                     }
                 }
@@ -128,34 +98,111 @@ pub fn solve_eikonal(grid: &Grid, rate: &Tensor, cfg: EikonalConfig) -> Result<T
             break;
         }
     }
+    peb_obs::count(peb_obs::Counter::EikonalUpdates, updates);
     Ok(s)
 }
 
-fn neighbour_min(sd: &[f32], i: usize, n: usize, at: impl Fn(usize) -> usize) -> f32 {
-    let lo = if i > 0 { sd[at(i - 1)] } else { f32::INFINITY };
+/// Rejects a rate field that does not match `grid` or holds an entry that
+/// is not finite and strictly positive.
+fn check_rate(grid: &Grid, rate: &Tensor) -> Result<()> {
+    if rate.shape() != grid.shape3() {
+        return Err(LithoError::Config {
+            detail: format!(
+                "rate shape {:?} does not match grid {:?}",
+                rate.shape(),
+                grid.shape3()
+            ),
+        });
+    }
+    if !rate.data().iter().all(|&r| r.is_finite() && r > 0.0) {
+        return Err(LithoError::Config {
+            detail: "development rate must be finite and strictly positive".into(),
+        });
+    }
+    Ok(())
+}
+
+/// Upwind stencil of cell `idx` at `(z, y, x)`: the smaller neighbour
+/// value and the spacing along each of x, y and z.
+///
+/// This and the helpers below are forced inline: both solvers call them,
+/// and left out of line they made the sweep about 1.4× slower.
+#[inline(always)]
+fn stencil(sd: &[f32], grid: &Grid, idx: usize, z: usize, y: usize, x: usize) -> [(f32, f32); 3] {
+    let plane = grid.ny * grid.nx;
+    let ax = neighbour_min(sd, idx, 1, x, grid.nx);
+    let ay = neighbour_min(sd, idx, grid.nx, y, grid.ny);
+    // z: only the voxel below is a neighbour at z=0 (the surface is the
+    // source); both elsewhere.
+    let az = if z == 0 {
+        if grid.nz > 1 {
+            sd[idx + plane]
+        } else {
+            f32::INFINITY
+        }
+    } else if z + 1 == grid.nz {
+        sd[idx - plane]
+    } else {
+        sd[idx - plane].min(sd[idx + plane])
+    };
+    [(ax, grid.dx), (ay, grid.dy), (az, grid.dz)]
+}
+
+/// Smaller of the two neighbours of `idx` along an axis of length `n`
+/// and element stride `stride`, where `i` is the cell's coordinate on
+/// that axis; a missing neighbour counts as infinity.
+#[inline(always)]
+fn neighbour_min(sd: &[f32], idx: usize, stride: usize, i: usize, n: usize) -> f32 {
+    let lo = if i > 0 {
+        sd[idx - stride]
+    } else {
+        f32::INFINITY
+    };
     let hi = if i + 1 < n {
-        sd[at(i + 1)]
+        sd[idx + stride]
     } else {
         f32::INFINITY
     };
     lo.min(hi)
 }
 
+/// Sets the dirty flags of the (up to two) neighbours of `idx` along one
+/// axis; arguments as in [`neighbour_min`].
+#[inline(always)]
+fn mark_neighbours(dirty: &mut [bool], idx: usize, stride: usize, i: usize, n: usize) {
+    if i > 0 {
+        dirty[idx - stride] = true;
+    }
+    if i + 1 < n {
+        dirty[idx + stride] = true;
+    }
+}
+
 /// Godunov upwind solve of `Σ ((u − aᵢ)/hᵢ)₊² = s²` for `u`, adding axes
 /// in order of increasing neighbour value.
-fn godunov_update(axes: &[(f32, f32); 3], slowness: f32) -> f32 {
-    let mut sorted: Vec<(f32, f32)> = axes
-        .iter()
-        .copied()
-        .filter(|(a, _)| a.is_finite())
-        .collect();
-    if sorted.is_empty() {
+#[inline(always)]
+fn godunov_update(axes: [(f32, f32); 3], slowness: f32) -> f32 {
+    // Finite axes, stably insertion-sorted by neighbour value.
+    let mut sorted = [(0f32, 0f32); 3];
+    let mut len = 0;
+    for axis in axes {
+        if !axis.0.is_finite() {
+            continue;
+        }
+        let mut i = len;
+        while i > 0 && sorted[i - 1].0.total_cmp(&axis.0).is_gt() {
+            sorted[i] = sorted[i - 1];
+            i -= 1;
+        }
+        sorted[i] = axis;
+        len += 1;
+    }
+    if len == 0 {
         return f32::INFINITY;
     }
-    sorted.sort_by(|l, r| l.0.total_cmp(&r.0));
     // Try with 1, then 2, then 3 active axes.
     let mut u = sorted[0].0 + slowness * sorted[0].1;
-    for m in 2..=sorted.len() {
+    for m in 2..=len {
         if u <= sorted[m - 1].0 {
             break;
         }
@@ -257,9 +304,28 @@ mod tests {
     }
 
     #[test]
+    fn rejects_non_finite_rates() {
+        let grid = Grid::new(4, 4, 3, 4.0, 4.0, 10.0).unwrap();
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            // One bad voxel among valid ones, in the top layer and below.
+            for at in [[0, 1, 2], [2, 3, 0]] {
+                let mut rate = Tensor::full(&grid.shape3(), 2.0);
+                rate.set(&at, bad);
+                for solve in [solve_eikonal, solve_eikonal_fim] {
+                    let err = solve(&grid, &rate, EikonalConfig::default());
+                    assert!(
+                        matches!(err, Err(LithoError::Config { .. })),
+                        "rate {bad} at {at:?} was accepted"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn godunov_single_axis() {
         let u = godunov_update(
-            &[(1.0, 2.0), (f32::INFINITY, 1.0), (f32::INFINITY, 1.0)],
+            [(1.0, 2.0), (f32::INFINITY, 1.0), (f32::INFINITY, 1.0)],
             0.5,
         );
         assert!((u - 2.0).abs() < 1e-6); // 1.0 + 0.5·2.0
@@ -268,7 +334,7 @@ mod tests {
     #[test]
     fn godunov_two_axes_matches_quadratic() {
         // a1 = a2 = 0, h = 1: u/√... → 2 (u/1)² = s² → u = s/√2.
-        let u = godunov_update(&[(0.0, 1.0), (0.0, 1.0), (f32::INFINITY, 1.0)], 1.0);
+        let u = godunov_update([(0.0, 1.0), (0.0, 1.0), (f32::INFINITY, 1.0)], 1.0);
         assert!((u - 1.0 / 2f32.sqrt()).abs() < 1e-5);
     }
 }
@@ -286,33 +352,20 @@ mod tests {
 ///
 /// Same contract as [`solve_eikonal`].
 pub fn solve_eikonal_fim(grid: &Grid, rate: &Tensor, cfg: EikonalConfig) -> Result<Tensor> {
-    if rate.shape() != grid.shape3() {
-        return Err(LithoError::Config {
-            detail: format!(
-                "rate shape {:?} does not match grid {:?}",
-                rate.shape(),
-                grid.shape3()
-            ),
-        });
-    }
-    if rate.min_value() <= 0.0 {
-        return Err(LithoError::Config {
-            detail: "development rate must be strictly positive".into(),
-        });
-    }
+    check_rate(grid, rate)?;
     let (nz, ny, nx) = (grid.nz, grid.ny, grid.nx);
-    let (hx, hy, hz) = (grid.dx, grid.dy, grid.dz);
     let n = nz * ny * nx;
     let at = |z: usize, y: usize, x: usize| (z * ny + y) * nx + x;
     let rd = rate.data();
-    let mut s = vec![f32::INFINITY; n];
+    let mut out = Tensor::full(&grid.shape3(), f32::INFINITY);
+    let s = out.data_mut();
     let mut active = std::collections::VecDeque::new();
     let mut in_list = vec![false; n];
     // Source: the top layer, seeded like the sweeping solver.
     for y in 0..ny {
         for x in 0..nx {
             let idx = at(0, y, x);
-            s[idx] = 0.5 * hz / rd[idx];
+            s[idx] = 0.5 * grid.dz / rd[idx];
             // Its neighbours form the initial band.
             for (dz, dy, dx) in [
                 (1isize, 0isize, 0isize),
@@ -339,34 +392,8 @@ pub fn solve_eikonal_fim(grid: &Grid, rate: &Tensor, cfg: EikonalConfig) -> Resu
         }
     }
     let update = |s: &[f32], idx: usize| -> f32 {
-        let z = idx / (ny * nx);
-        let y = (idx / nx) % ny;
-        let x = idx % nx;
-        let axis_min = |lo: Option<usize>, hi: Option<usize>| -> f32 {
-            let a = lo.map(|i| s[i]).unwrap_or(f32::INFINITY);
-            let b = hi.map(|i| s[i]).unwrap_or(f32::INFINITY);
-            a.min(b)
-        };
-        let ax = axis_min(
-            (x > 0).then(|| at(z, y, x - 1)),
-            (x + 1 < nx).then(|| at(z, y, x + 1)),
-        );
-        let ay = axis_min(
-            (y > 0).then(|| at(z, y - 1, x)),
-            (y + 1 < ny).then(|| at(z, y + 1, x)),
-        );
-        let az = if z == 0 {
-            if nz > 1 {
-                s[at(1, y, x)]
-            } else {
-                f32::INFINITY
-            }
-        } else if z + 1 == nz {
-            s[at(z - 1, y, x)]
-        } else {
-            s[at(z - 1, y, x)].min(s[at(z + 1, y, x)])
-        };
-        godunov_update(&[(ax, hx), (ay, hy), (az, hz)], 1.0 / rd[idx])
+        let (z, y, x) = (idx / (ny * nx), (idx / nx) % ny, idx % nx);
+        godunov_update(stencil(s, grid, idx, z, y, x), 1.0 / rd[idx])
     };
     let mut guard = 0usize;
     let guard_limit = n * 64; // generous convergence bound
@@ -376,7 +403,7 @@ pub fn solve_eikonal_fim(grid: &Grid, rate: &Tensor, cfg: EikonalConfig) -> Resu
         if guard > guard_limit {
             break;
         }
-        let new = update(&s, idx);
+        let new = update(s, idx);
         if new < s[idx] - cfg.tol {
             s[idx] = new;
             // Re-activate neighbours that might improve.
@@ -408,7 +435,7 @@ pub fn solve_eikonal_fim(grid: &Grid, rate: &Tensor, cfg: EikonalConfig) -> Resu
             s[idx] = new;
         }
     }
-    Ok(Tensor::from_vec(s, &grid.shape3())?)
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -238,9 +238,13 @@ pub enum Counter {
     /// Requests shed by the router or the worker coalescer because the
     /// propagated deadline would have expired before service (504).
     FleetDeadlineShed = 30,
+    /// Godunov updates the fast-sweeping eikonal solver actually
+    /// evaluated. It skips a cell whose stencil did not change since its
+    /// last update, so this sits below `eikonal_sweeps` × cells.
+    EikonalUpdates = 31,
 }
 
-const N_COUNTERS: usize = 31;
+const N_COUNTERS: usize = 32;
 
 const COUNTER_NAMES: [&str; N_COUNTERS] = [
     "gemm_flops",
@@ -274,6 +278,7 @@ const COUNTER_NAMES: [&str; N_COUNTERS] = [
     "fleet_failovers",
     "fleet_restarts",
     "fleet_deadline_shed",
+    "eikonal_updates",
 ];
 
 #[allow(clippy::declare_interior_mutable_const)]

@@ -73,6 +73,7 @@ fn tracing_profiles_the_pipeline_without_perturbing_it() {
         "adi_tridiag_solves",
         "scan_lanes",
         "eikonal_sweeps",
+        "eikonal_updates",
         "tensor_allocs",
         "optimizer_steps",
     ] {
